@@ -156,15 +156,6 @@ pub struct SimConfig {
     /// equivalence reference for tests; traces and metrics are byte-identical
     /// either way.
     pub bulk_ops: bool,
-    /// Run the cross-layer invariant auditor after every engine step,
-    /// collecting typed violation reports (`SingleVmSim::violations`).
-    /// Costs a full memmap walk per step — meant for chaos/fault runs and
-    /// debugging, not performance experiments.
-    ///
-    /// Legacy switch: equivalent to `audit = AuditLevel::Epoch` (see
-    /// [`SimConfig::effective_audit`]); kept so chaos harnesses that only
-    /// *collect* violations keep working unchanged.
-    pub audit_invariants: bool,
     /// Invariant-sanitizer level (`Off`/`Epoch`/`Paranoid`). Observational
     /// only — every exported byte (report, traces, telemetry) is identical
     /// across levels; non-`Off` levels make `SingleVmSim::run` and
@@ -247,7 +238,6 @@ impl SimConfig {
             trace_events: 0,
             app_hints: false,
             bulk_ops: true,
-            audit_invariants: false,
             audit: AuditLevel::Off,
             telemetry: false,
             sched: SchedMode::Event,
@@ -305,28 +295,10 @@ impl SimConfig {
         self
     }
 
-    /// Enables the per-step invariant auditor.
-    pub fn with_audit_invariants(mut self, on: bool) -> Self {
-        self.audit_invariants = on;
-        self
-    }
-
     /// Sets the invariant-sanitizer level.
     pub fn with_audit(mut self, level: AuditLevel) -> Self {
         self.audit = level;
         self
-    }
-
-    /// The level the sanitizer actually runs at: `audit` when set, else
-    /// `Epoch` when the legacy `audit_invariants` flag is on, else `Off`.
-    pub fn effective_audit(&self) -> AuditLevel {
-        if self.audit != AuditLevel::Off {
-            self.audit
-        } else if self.audit_invariants {
-            AuditLevel::Epoch
-        } else {
-            AuditLevel::Off
-        }
     }
 
     /// Toggles structured telemetry (metrics registry + spans).
@@ -445,7 +417,6 @@ hetero_sim::impl_snap!(struct SimConfig {
     trace_events,
     app_hints,
     bulk_ops,
-    audit_invariants,
     audit,
     telemetry,
     sched,
@@ -529,27 +500,6 @@ mod tests {
         assert_eq!(
             c.with_persist(FlushPolicy::EpochBatched).persist,
             FlushPolicy::EpochBatched
-        );
-    }
-
-    #[test]
-    fn effective_audit_unifies_legacy_flag() {
-        let c = SimConfig::paper_default();
-        assert_eq!(c.effective_audit(), AuditLevel::Off);
-        assert_eq!(
-            c.clone().with_audit_invariants(true).effective_audit(),
-            AuditLevel::Epoch
-        );
-        assert_eq!(
-            c.clone().with_audit(AuditLevel::Paranoid).effective_audit(),
-            AuditLevel::Paranoid
-        );
-        // The explicit level wins over the legacy flag.
-        assert_eq!(
-            c.with_audit_invariants(true)
-                .with_audit(AuditLevel::Paranoid)
-                .effective_audit(),
-            AuditLevel::Paranoid
         );
     }
 }

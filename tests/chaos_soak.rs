@@ -4,7 +4,7 @@
 //! Three harnesses, each run over many seeds:
 //!
 //! * **engine soak** — `SingleVmSim` with an armed `FaultInjector` and
-//!   `audit_invariants` on: injected FastMem outages degrade placement,
+//!   the epoch-level sanitizer on: injected FastMem outages degrade placement,
 //!   latency storms dilate pricing, migrations fail transiently — and the
 //!   guest kernel's books must still balance after every epoch,
 //! * **kernel soak** — a bare `GuestKernel` churned through mmap/munmap,
@@ -54,7 +54,7 @@ fn engine_soak_with(seed: u64, bulk_ops: bool) -> String {
         .with_capacity_ratio(1, 4)
         .with_seed(seed)
         .with_bulk_ops(bulk_ops)
-        .with_audit_invariants(true);
+        .with_audit(AuditLevel::Epoch);
     let mut spec = apps::graphchi();
     spec.total_instructions /= 20;
     let wl = AppWorkload::new(spec, cfg.page_size, cfg.scale);
