@@ -1,7 +1,6 @@
 //! Wall-clock benchmark baseline (`cargo bench -p bench`).
 //!
-//! Unlike the opt-in criterion benches (`--features criterion-bench`),
-//! this harness runs offline with zero extra dependencies: plain
+//! The harness runs offline with zero extra dependencies: plain
 //! `std::time::Instant` timing around the hot paths PR 2 optimised —
 //! buddy churn, full-VM hotness scans, LRU transitions, end-to-end `repro`
 //! epochs, and the object-traffic microbench in both scalar and bulk

@@ -6,9 +6,9 @@
 //!   regenerates every table and figure of the paper's evaluation and
 //!   prints them as text tables — see [`run_experiment`] for the available
 //!   targets;
-//! * the **criterion benches** (`cargo bench -p bench`) measure the
-//!   substrate operations themselves (buddy allocation, page-table scans,
-//!   LRU transitions, DRF requests, end-to-end epochs).
+//! * the **wall-clock bench** (`cargo bench -p bench --bench wallclock`)
+//!   times the substrate operations themselves (buddy churn, hotness
+//!   scans, LRU transitions, end-to-end epochs, snapshots).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
