@@ -45,8 +45,9 @@
 //!
 //! `--hosts N` and `--arrival MODE` (`poisson` or `trace`) shape the
 //! `cluster` target — the rack-scale consolidation run with inter-host
-//! pre-copy live migration (`--hosts 0` keeps the experiment default of
-//! 16 hosts, 4 in quick mode). Every other target ignores both flags.
+//! pre-copy live migration (without `--hosts` the experiment runs its
+//! default of 16 hosts, 4 in quick mode). Every other target ignores both
+//! flags.
 //!
 //! `--tier-profile NAME` (`table1-trio`, `optane-dc` or `cxl`) replaces
 //! the throttle-derived node parameters of the checkpointable scenarios
@@ -243,9 +244,9 @@ fn main() -> ExitCode {
                 }
             },
             "--hosts" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.hosts = n,
-                None => {
-                    eprintln!("--hosts requires an integer (0 = experiment default)");
+                Some(n) if n > 0 => opts.hosts = Some(n),
+                _ => {
+                    eprintln!("--hosts requires a positive integer");
                     return ExitCode::FAILURE;
                 }
             },

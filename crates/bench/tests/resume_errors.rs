@@ -110,3 +110,11 @@ fn checkpoint_flags_reject_bad_usage() {
     run_expect_failure(&["--quick", "--checkpoint-every", "0", "cluster"], "positive");
     run_expect_failure(&["--quick", "--resume"], "requires a snapshot file");
 }
+
+#[test]
+fn hosts_flag_rejects_zero_and_non_numbers() {
+    // Zero is no "default" marker: omitting the flag is how to get one.
+    run_expect_failure(&["--quick", "--hosts", "0", "cluster"], "positive integer");
+    run_expect_failure(&["--quick", "--hosts", "many", "cluster"], "positive integer");
+    run_expect_failure(&["--quick", "cluster", "--hosts"], "positive integer");
+}

@@ -2065,26 +2065,19 @@ impl<W: Workload> SingleVmSim<W> {
             None => (0, ranges[0].0),
         };
         let mut rng = self.rng.fork();
-        let kernel = &mut self.kernel;
+        // The touch oracle sets real PTE bits; writes follow write heat.
+        let mut touch = |page: &Page| {
+            let w_ratio = (page.write_heat as f64 / (page.heat as f64).max(1.0)).min(1.0);
+            rng.chance(Self::touch_probability(interval, page)).then(|| rng.chance(w_ratio))
+        };
         let mut harvest = std::mem::take(&mut self.ab_harvest);
         harvest.clear();
         let mut visited = 0u64;
         while remaining > 0 {
             let end = ranges[idx].1;
             let hi = cur + (end - cur).min(remaining);
-            // The touch oracle sets real PTE bits; writes follow write heat.
-            for vpn in cur..hi {
-                if let Some(gfn) = kernel.page_table().translate(vpn) {
-                    let page = kernel.memmap().page(gfn);
-                    let w_ratio = (page.write_heat as f64 / (page.heat as f64).max(1.0)).min(1.0);
-                    if rng.chance(Self::touch_probability(interval, page)) {
-                        kernel.touch_page(vpn, rng.chance(w_ratio));
-                    }
-                }
-            }
-            // The closure holds the page table, so VPNs resolve to frames later.
-            visited += kernel.harvest_ad_range(cur, hi, |vpn, accessed, dirty| {
-                harvest.push((Gfn(vpn), accessed, dirty));
+            visited += self.kernel.touch_and_harvest(cur, hi, &mut touch, |gfn, accessed, dirty| {
+                harvest.push((gfn, accessed, dirty));
             });
             remaining -= hi - cur;
             cur = hi;
@@ -2094,10 +2087,6 @@ impl<W: Workload> SingleVmSim<W> {
             }
         }
         self.ab_cursor = cur;
-        let pt = kernel.page_table();
-        for entry in &mut harvest {
-            entry.0 = pt.translate(entry.0 .0).expect("harvested PTE is mapped");
-        }
         self.tracker.scan_harvest_into(&self.kernel, &harvest, visited, &mut self.scan_scratch);
         self.ab_harvest = harvest;
         true

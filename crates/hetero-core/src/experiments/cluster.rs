@@ -83,9 +83,9 @@ fn burst_trace(count: usize, templates: usize) -> Vec<(Nanos, usize)> {
 /// `--arrival`, `--quick`, and `--seed`.
 pub fn fleet_spec(opts: &ExpOptions) -> ClusterSpec {
     let hosts = match (opts.hosts, opts.quick) {
-        (0, false) => DEFAULT_HOSTS,
-        (0, true) => DEFAULT_HOSTS_QUICK,
-        (n, _) => n,
+        (Some(n), _) => n,
+        (None, false) => DEFAULT_HOSTS,
+        (None, true) => DEFAULT_HOSTS_QUICK,
     };
     let count = if opts.quick { DEFAULT_VMS_QUICK } else { DEFAULT_VMS };
     let templates = fleet_templates(opts);

@@ -67,9 +67,9 @@ pub struct ExpOptions {
     /// engine finds due management work.
     pub sched: SchedMode,
     /// Host count for the rack-scale cluster experiment (`repro cluster
-    /// --hosts N`). `0` lets the driver pick its default (16 full, 4
+    /// --hosts N`). `None` lets the driver pick its default (16 full, 4
     /// quick); every non-cluster experiment ignores it.
-    pub hosts: usize,
+    pub hosts: Option<usize>,
     /// VM arrival mode for the cluster experiment (`repro cluster
     /// --arrival MODE`): a seeded Poisson process or the built-in
     /// deterministic trace. Ignored by every non-cluster experiment.
@@ -93,7 +93,7 @@ impl Default for ExpOptions {
             persist: FlushPolicy::Off,
             faults: None,
             sched: SchedMode::default(),
-            hosts: 0,
+            hosts: None,
             arrival: ArrivalMode::default(),
             tier_profile: None,
             tracking: None,
@@ -140,9 +140,9 @@ impl ExpOptions {
         self
     }
 
-    /// Sets the cluster host count (`0` = driver default).
+    /// Sets the cluster host count.
     pub fn with_hosts(mut self, hosts: usize) -> Self {
-        self.hosts = hosts;
+        self.hosts = Some(hosts);
         self
     }
 

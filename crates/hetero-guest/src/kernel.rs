@@ -15,7 +15,7 @@ use hetero_mem::MemKind;
 use crate::buddy::BuddyAllocator;
 use crate::lru::LruRegistry;
 use crate::memmap::MemMap;
-use crate::page::{Gfn, PageFlags, PageType, RMap};
+use crate::page::{Gfn, Page, PageFlags, PageType, RMap};
 use crate::pagecache::{FileId, PageCache};
 use crate::pagetable::PageTable;
 use crate::pcp::PerCpuLists;
@@ -227,15 +227,6 @@ impl GuestKernel {
         &self.pt
     }
 
-    /// Simulates a CPU touch through the page table: sets the PTE access
-    /// bit (and the dirty bit for writes). Returns `false` when `vpn` is
-    /// unmapped. This is the A/D-tracking analogue of the heat the VMM
-    /// scanner observes — hardware sets these bits for free; the cost
-    /// sits in the harvest ([`GuestKernel::harvest_ad_range`]).
-    pub fn touch_page(&mut self, vpn: u64, write: bool) -> bool {
-        self.pt.touch(vpn, write)
-    }
-
     /// Harvests and resets the accessed/dirty bits of every mapped PTE in
     /// `[start, end)`, invoking `f(vpn, accessed, dirty)` per page, and
     /// returns the number of PTEs visited (the per-PTE work the cost
@@ -248,6 +239,34 @@ impl GuestKernel {
         f: impl FnMut(u64, bool, bool),
     ) -> u64 {
         self.pt.scan_and_reset(start, end, f)
+    }
+
+    /// Simulates CPU touches over `[start, end)` and harvests the result in
+    /// one page-table descent: for each mapped PTE in VPN order,
+    /// `touch(page)` returns `Some(write)` to set the access bit (and the
+    /// dirty bit for writes) or `None` to leave the bits alone; then
+    /// `f(gfn, accessed, dirty)` receives the PTE's bits, which are reset.
+    /// Returns the number of PTEs visited.
+    ///
+    /// Equivalent to touching each page through the page table, then
+    /// [`GuestKernel::harvest_ad_range`], then translating each harvested
+    /// VPN back to its frame. Hardware sets A/D bits for free; the cost
+    /// model charges only the harvest.
+    pub fn touch_and_harvest(
+        &mut self,
+        start: u64,
+        end: u64,
+        mut touch: impl FnMut(&Page) -> Option<bool>,
+        mut f: impl FnMut(Gfn, bool, bool),
+    ) -> u64 {
+        let mm = &self.mm;
+        self.pt.visit_leaves(start, end, |_, pte| {
+            if let Some(write) = touch(mm.page(pte.gfn)) {
+                pte.touch(write);
+            }
+            let (accessed, dirty) = pte.harvest();
+            f(pte.gfn, accessed, dirty);
+        })
     }
 
     /// Allocation statistics (demand-prioritization input).
@@ -2041,6 +2060,70 @@ mod tests {
         // Batched scan makes progress.
         let (_, next) = k.scan_resident(0, 10);
         assert_eq!(next, 10);
+    }
+
+    #[test]
+    fn touch_and_harvest_matches_touch_then_harvest_then_translate() {
+        let setup = || {
+            let mut k = small_kernel();
+            let (a, _) = k.mmap_heap(40, (0..40).map(|i| i * 6), &[MemKind::Fast]).unwrap();
+            let (b, _) = k.mmap_heap(30, (0..30).map(|i| 255 - i), &[MemKind::Slow]).unwrap();
+            k.munmap(a.start + 10, 5);
+            (k, a, b)
+        };
+        let (_, a, b) = setup();
+        // A scripted oracle: touch by heat and call count, write every third touch.
+        let oracle = |calls: &mut u64, page: &Page| {
+            *calls += 1;
+            let touched = !page.heat.is_multiple_of(3) || calls.is_multiple_of(4);
+            touched.then_some(calls.is_multiple_of(3))
+        };
+        let ranges = [
+            (a.start, b.end()),
+            (a.start + 3, a.start + 12),
+            (b.start, b.start),
+            (b.end(), a.start),
+        ];
+        for (start, end) in ranges {
+            let mut fused = setup().0;
+            let mut calls = 0;
+            let mut got = Vec::new();
+            let visited = fused.touch_and_harvest(
+                start,
+                end,
+                |page| oracle(&mut calls, page),
+                |gfn, accessed, dirty| got.push((gfn, accessed, dirty)),
+            );
+
+            let mut reference = setup().0;
+            let mut ref_calls = 0;
+            for vpn in start..end {
+                if let Some(gfn) = reference.page_table().translate(vpn) {
+                    if let Some(write) = oracle(&mut ref_calls, reference.memmap().page(gfn)) {
+                        reference.pt.touch(vpn, write);
+                    }
+                }
+            }
+            let mut harvested = Vec::new();
+            let ref_visited = reference.harvest_ad_range(start, end, |vpn, accessed, dirty| {
+                harvested.push((vpn, accessed, dirty))
+            });
+            let want: Vec<_> = harvested
+                .into_iter()
+                .map(|(vpn, a, d)| (reference.page_table().translate(vpn).unwrap(), a, d))
+                .collect();
+
+            if (start, end) == (a.start, b.end()) {
+                assert_eq!(visited, 65, "the munmapped hole is skipped");
+                assert!(got.iter().any(|&(_, _, dirty)| dirty));
+                assert!(got.iter().any(|&(_, accessed, _)| !accessed));
+            }
+            assert_eq!(visited, ref_visited);
+            assert_eq!((got, calls), (want, ref_calls), "range {start}..{end}");
+            for vpn in a.start..b.end() {
+                assert_eq!(fused.page_table().walk(vpn), reference.page_table().walk(vpn));
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use hetero_mem::MemKind;
 
 use crate::memmap::MemMap;
-use crate::page::{Gfn, Page, PageFlags, PageType};
+use crate::page::{Gfn, Link, Page, PageFlags, PageType};
 
 /// Which LRU a page class belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,11 +75,11 @@ impl LruList {
                 "{gfn} is already on an LRU list"
             );
             p.flags.insert(PageFlags::LRU);
-            p.lru_prev = None;
-            p.lru_next = self.head;
+            p.lru_prev = Link::NONE;
+            p.lru_next = Link::from(self.head);
         }
         if let Some(old_head) = self.head {
-            mm.page_mut(old_head).lru_prev = Some(gfn);
+            mm.page_mut(old_head).lru_prev = Link::from(Some(gfn));
         }
         self.head = Some(gfn);
         if self.tail.is_none() {
@@ -100,17 +100,17 @@ impl LruList {
             assert!(p.flags.contains(PageFlags::LRU), "{gfn} is not on an LRU");
             p.flags.remove(PageFlags::LRU);
             let links = (p.lru_prev, p.lru_next);
-            p.lru_prev = None;
-            p.lru_next = None;
+            p.lru_prev = Link::NONE;
+            p.lru_next = Link::NONE;
             links
         };
-        match prev {
+        match prev.get() {
             Some(p) => mm.page_mut(p).lru_next = next,
-            None => self.head = next,
+            None => self.head = next.get(),
         }
-        match next {
+        match next.get() {
             Some(n) => mm.page_mut(n).lru_prev = prev,
-            None => self.tail = prev,
+            None => self.tail = prev.get(),
         }
         self.len -= 1;
     }
@@ -126,10 +126,10 @@ impl LruList {
     /// equivalent of [`LruList::push_front`].
     pub fn push_front_prelinked(&mut self, mm: &mut MemMap, gfn: Gfn) {
         debug_assert!(mm.page(gfn).flags.contains(PageFlags::LRU));
-        debug_assert_eq!(mm.page(gfn).lru_prev, None);
-        debug_assert_eq!(mm.page(gfn).lru_next, self.head);
+        debug_assert_eq!(mm.page(gfn).lru_prev, Link::NONE);
+        debug_assert_eq!(mm.page(gfn).lru_next, Link::from(self.head));
         if let Some(old_head) = self.head {
-            mm.page_mut(old_head).lru_prev = Some(gfn);
+            mm.page_mut(old_head).lru_prev = Link::from(Some(gfn));
         }
         self.head = Some(gfn);
         if self.tail.is_none() {
@@ -152,7 +152,7 @@ impl LruList {
 
     /// Iterates from MRU to LRU (for diagnostics/tests).
     pub fn iter<'a>(&'a self, mm: &'a MemMap) -> impl Iterator<Item = Gfn> + 'a {
-        std::iter::successors(self.head, move |&g| mm.page(g).lru_next)
+        std::iter::successors(self.head, move |&g| mm.page(g).lru_next.get())
     }
 }
 

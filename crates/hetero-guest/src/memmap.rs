@@ -10,7 +10,7 @@ use hetero_mem::heatgen::ColdLedger;
 use hetero_mem::kind::KindMap;
 use hetero_mem::MemKind;
 
-use crate::page::{Gfn, Page, PageFlags, PageType};
+use crate::page::{Gfn, Link, Page, PageFlags, PageType};
 
 /// Aggregate residency of one `(page type, tier)` bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,7 +54,8 @@ impl MemMap {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate tiers or an empty layout.
+    /// Panics on duplicate tiers, an empty layout, or `u32::MAX` frames or
+    /// more (LRU links store frame numbers in 32 bits).
     pub fn new(layout: &[(MemKind, u64)]) -> Self {
         assert!(!layout.is_empty(), "memmap needs at least one tier");
         let mut sorted: Vec<(MemKind, u64)> = layout.to_vec();
@@ -62,7 +63,9 @@ impl MemMap {
         for w in sorted.windows(2) {
             assert_ne!(w[0].0, w[1].0, "duplicate tier {}", w[0].0);
         }
-        let mut pages = Vec::new();
+        let total: u64 = sorted.iter().map(|&(_, frames)| frames).sum();
+        assert!(total < u64::from(u32::MAX), "{total} frames overflow a 32-bit LRU link");
+        let mut pages = Vec::with_capacity(total as usize);
         let mut ranges = Vec::new();
         let mut base = 0u64;
         for (kind, frames) in sorted {
@@ -209,8 +212,8 @@ impl MemMap {
             p.page_type = page_type;
             p.heat = heat;
             p.write_heat = 0;
-            p.lru_prev = None;
-            p.lru_next = None;
+            p.lru_prev = Link::NONE;
+            p.lru_next = Link::NONE;
             p.rmap = crate::page::RMap::None;
             p.kind
         };
@@ -254,8 +257,8 @@ impl MemMap {
             p.page_type = page_type;
             p.heat = heat;
             p.write_heat = 0;
-            p.lru_prev = None;
-            p.lru_next = lru_next;
+            p.lru_prev = Link::NONE;
+            p.lru_next = Link::from(lru_next);
             p.rmap = rmap;
             p.kind
         };
@@ -284,8 +287,8 @@ impl MemMap {
             p.flags = PageFlags::empty();
             p.heat = 0;
             p.write_heat = 0;
-            p.lru_prev = None;
-            p.lru_next = None;
+            p.lru_prev = Link::NONE;
+            p.lru_next = Link::NONE;
             p.rmap = crate::page::RMap::None;
             prev
         };

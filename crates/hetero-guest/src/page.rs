@@ -32,6 +32,44 @@ impl fmt::Display for Gfn {
     }
 }
 
+/// An intrusive LRU link: the neighbour's frame number in four bytes, with
+/// `u32::MAX` meaning "no neighbour".
+///
+/// A quarter of the size of an `Option<Gfn>`.
+/// [`crate::memmap::MemMap::new`] guarantees every frame number fits.
+/// Snapshots encode a link exactly as the `Option<Gfn>` it stands for, and
+/// restoring a frame number that does not fit is an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Link(u32);
+
+impl Link {
+    /// No neighbour.
+    pub const NONE: Link = Link(u32::MAX);
+
+    /// The linked frame, if any.
+    #[inline]
+    pub const fn get(self) -> Option<Gfn> {
+        if self.0 == u32::MAX {
+            None
+        } else {
+            Some(Gfn(self.0 as u64))
+        }
+    }
+}
+
+impl From<Option<Gfn>> for Link {
+    #[inline]
+    fn from(gfn: Option<Gfn>) -> Link {
+        match gfn {
+            None => Link::NONE,
+            Some(g) => {
+                debug_assert!(g.0 < u64::from(u32::MAX), "{g} does not fit a link");
+                Link(g.0 as u32)
+            }
+        }
+    }
+}
+
 /// How a page is used — the paper's Fig 4 categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PageType {
@@ -196,7 +234,7 @@ pub enum RMap {
 /// A page descriptor.
 ///
 /// Kept deliberately small: one is allocated per guest frame, exactly like
-/// the kernel memmap.
+/// the kernel memmap. The 4-byte [`Link`]s keep it at 40 bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Page {
     /// State bits.
@@ -215,9 +253,9 @@ pub struct Page {
     /// `heat`.
     pub write_heat: u8,
     /// LRU linkage: previous page on the list.
-    pub lru_prev: Option<Gfn>,
+    pub lru_prev: Link,
     /// LRU linkage: next page on the list.
-    pub lru_next: Option<Gfn>,
+    pub lru_next: Link,
     /// Reverse map.
     pub rmap: RMap,
 }
@@ -231,8 +269,8 @@ impl Page {
             kind,
             heat: 0,
             write_heat: 0,
-            lru_prev: None,
-            lru_next: None,
+            lru_prev: Link::NONE,
+            lru_next: Link::NONE,
             rmap: RMap::None,
         }
     }
@@ -252,6 +290,22 @@ impl hetero_sim::snap::Snap for Gfn {
         r: &mut hetero_sim::snap::SnapReader<'_>,
     ) -> Result<Self, hetero_sim::snap::SnapshotError> {
         Ok(Gfn(r.take_u64()?))
+    }
+}
+
+impl hetero_sim::snap::Snap for Link {
+    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
+        self.get().snap(w);
+    }
+    fn unsnap(
+        r: &mut hetero_sim::snap::SnapReader<'_>,
+    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
+        match Option::<Gfn>::unsnap(r)? {
+            Some(g) if g.0 >= u64::from(u32::MAX) => Err(
+                hetero_sim::snap::SnapshotError::corrupt(format!("LRU link {g} out of range")),
+            ),
+            gfn => Ok(Link::from(gfn)),
+        }
     }
 }
 
@@ -344,6 +398,63 @@ mod tests {
         let p = Page::free_on(MemKind::Fast);
         assert!(!p.is_present());
         assert_eq!(p.rmap, RMap::None);
+    }
+
+    #[test]
+    fn page_descriptor_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Link>(), 4);
+        assert_eq!(std::mem::size_of::<Page>(), 40);
+    }
+
+    /// The snapshot bytes of a page whose links are given as `Option<Gfn>`s,
+    /// in the field-by-field encoding the descriptor had before [`Link`].
+    fn option_encoding(p: &Page, prev: Option<Gfn>, next: Option<Gfn>) -> Vec<u8> {
+        use hetero_sim::snap::{Snap, SnapWriter};
+        let mut w = SnapWriter::new();
+        p.flags.snap(&mut w);
+        p.page_type.snap(&mut w);
+        p.kind.snap(&mut w);
+        p.heat.snap(&mut w);
+        p.write_heat.snap(&mut w);
+        prev.snap(&mut w);
+        next.snap(&mut w);
+        p.rmap.snap(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn linked_page_snapshots_like_option_gfn() {
+        use hetero_sim::snap::{Snap, SnapReader, SnapWriter};
+        let mut p = Page::free_on(MemKind::Slow);
+        p.flags = PageFlags::PRESENT | PageFlags::LRU;
+        p.heat = 200;
+        p.rmap = RMap::File(3, 0x40);
+        for (prev, next) in [
+            (None, None),
+            (Some(Gfn(7)), None),
+            (None, Some(Gfn(0))),
+            (Some(Gfn(u64::from(u32::MAX) - 1)), Some(Gfn(1 << 20))),
+        ] {
+            p.lru_prev = Link::from(prev);
+            p.lru_next = Link::from(next);
+            assert_eq!((p.lru_prev.get(), p.lru_next.get()), (prev, next));
+            let mut w = SnapWriter::new();
+            p.snap(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, option_encoding(&p, prev, next));
+            let back = Page::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+            assert_eq!((back.lru_prev, back.lru_next), (p.lru_prev, p.lru_next));
+        }
+    }
+
+    #[test]
+    fn corrupted_link_fails_restore() {
+        use hetero_sim::snap::{Snap, SnapReader};
+        let p = Page::free_on(MemKind::Fast);
+        for bad in [u64::from(u32::MAX), 1 << 40, u64::MAX] {
+            let bytes = option_encoding(&p, None, Some(Gfn(bad)));
+            assert!(Page::unsnap(&mut SnapReader::new(&bytes)).is_err(), "link {bad:#x}");
+        }
     }
 
     #[test]

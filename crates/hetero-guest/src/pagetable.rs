@@ -28,6 +28,24 @@ pub struct Pte {
     pub dirty: bool,
 }
 
+impl Pte {
+    /// Sets the access bit, and the dirty bit for writes.
+    #[inline]
+    pub fn touch(&mut self, write: bool) {
+        self.accessed = true;
+        self.dirty |= write;
+    }
+
+    /// Returns `(accessed, dirty)` and clears both bits.
+    #[inline]
+    pub fn harvest(&mut self) -> (bool, bool) {
+        let bits = (self.accessed, self.dirty);
+        self.accessed = false;
+        self.dirty = false;
+        bits
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Entry {
     Empty,
@@ -294,8 +312,7 @@ impl PageTable {
     pub fn touch(&mut self, vpn: u64, write: bool) -> bool {
         match self.leaf_mut(vpn) {
             Some(pte) => {
-                pte.accessed = true;
-                pte.dirty |= write;
+                pte.touch(write);
                 true
             }
             None => false,
@@ -324,49 +341,59 @@ impl PageTable {
         end: u64,
         mut f: impl FnMut(u64, bool, bool),
     ) -> u64 {
-        let mut visited = 0;
-        // Walk leaves in range. A faithful scanner walks tables, skipping
-        // empty subtrees — mirrored here via recursion.
+        self.visit_leaves(start, end, |vpn, pte| {
+            let (accessed, dirty) = pte.harvest();
+            f(vpn, accessed, dirty);
+        })
+    }
+
+    /// Visits every mapped PTE in `[start, end)` in VPN order, invoking
+    /// `f(vpn, pte)`, and returns the number visited. An empty range
+    /// (`start >= end`) visits nothing; `end` is clipped to `VPN_LIMIT`.
+    ///
+    /// Each level iterates only the index slice whose span meets the range
+    /// and skips empty subtrees, as a hardware-shaped scanner would, so the
+    /// cost is O(levels + PTEs in range) rather than table fanout × levels.
+    pub fn visit_leaves(
+        &mut self,
+        start: u64,
+        end: u64,
+        mut f: impl FnMut(u64, &mut Pte),
+    ) -> u64 {
         fn recurse(
             table: &mut Table,
             level: u32,
             base: u64,
             start: u64,
-            end: u64,
-            visited: &mut u64,
-            f: &mut impl FnMut(u64, bool, bool),
-        ) {
-            let span = 1u64 << (LEVEL_BITS * level);
-            for (i, entry) in table.entries.iter_mut().enumerate() {
-                let lo = base + i as u64 * span;
-                let hi = lo + span;
-                if hi <= start || lo >= end {
-                    continue;
-                }
+            last_vpn: u64,
+            f: &mut impl FnMut(u64, &mut Pte),
+        ) -> u64 {
+            let shift = LEVEL_BITS * level;
+            // The caller only descends into tables whose span meets the
+            // range, so both offsets are in bounds once clamped.
+            let first = (start.saturating_sub(base) >> shift) as usize;
+            let last = ((last_vpn - base) >> shift).min(FANOUT as u64 - 1) as usize;
+            let mut visited = 0;
+            for (i, entry) in table.entries[first..=last].iter_mut().enumerate() {
+                let lo = base + (((first + i) as u64) << shift);
                 match entry {
                     Entry::Empty => {}
                     Entry::Table(child) => {
-                        recurse(child, level - 1, lo, start, end, visited, f)
+                        visited += recurse(child, level - 1, lo, start, last_vpn, f)
                     }
                     Entry::Leaf(pte) => {
-                        *visited += 1;
-                        f(lo, pte.accessed, pte.dirty);
-                        pte.accessed = false;
-                        pte.dirty = false;
+                        visited += 1;
+                        f(lo, pte);
                     }
                 }
             }
+            visited
         }
-        recurse(
-            &mut self.root,
-            LEVELS - 1,
-            0,
-            start,
-            end.min(VPN_LIMIT),
-            &mut visited,
-            &mut f,
-        );
-        visited
+        let end = end.min(VPN_LIMIT);
+        if start >= end {
+            return 0;
+        }
+        recurse(&mut self.root, LEVELS - 1, 0, start, end - 1, &mut f)
     }
 }
 
@@ -580,6 +607,72 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn map_beyond_limit_panics() {
         PageTable::new().map(VPN_LIMIT, Gfn(0));
+    }
+
+    /// Differential test of the clipped walk: random sparse maps around the
+    /// 512-page and 262,144-page table edges, scanned over random ranges
+    /// (empty, inverted and past `VPN_LIMIT` included), must match a
+    /// brute-force reference over a sorted model.
+    #[test]
+    fn clipped_scan_matches_brute_force_reference() {
+        use hetero_sim::SimRng;
+        use std::collections::BTreeMap;
+
+        const LEAF: u64 = 1 << LEVEL_BITS;
+        const MID: u64 = 1 << (2 * LEVEL_BITS);
+        let edges = [0, LEAF, 7 * LEAF, MID, 3 * MID, 1 << (3 * LEVEL_BITS), VPN_LIMIT];
+        let mut rng = SimRng::seed_from(0xAD);
+        let near_edge = |rng: &mut SimRng| {
+            let edge = edges[rng.next_range(0, edges.len() as u64) as usize];
+            (edge + rng.next_range(0, 2 * LEAF)).saturating_sub(LEAF)
+        };
+        for _ in 0..60 {
+            let mut pt = PageTable::new();
+            let mut model = BTreeMap::new();
+            for _ in 0..rng.next_range(0, 400) {
+                let vpn = near_edge(&mut rng).min(VPN_LIMIT - 1);
+                pt.map(vpn, Gfn(vpn ^ 0x5a5a));
+                let (accessed, dirty) = (rng.chance(0.5), rng.chance(0.3));
+                if accessed || dirty {
+                    pt.touch(vpn, dirty);
+                }
+                model.insert(vpn, (accessed || dirty, dirty));
+            }
+            for _ in 0..20 {
+                let (start, end) = match rng.next_range(0, 4) {
+                    0 => (near_edge(&mut rng), near_edge(&mut rng)),
+                    1 => {
+                        let s = near_edge(&mut rng);
+                        (s, s)
+                    }
+                    2 => (near_edge(&mut rng), VPN_LIMIT + rng.next_range(0, 3 * LEAF)),
+                    _ => {
+                        let s = near_edge(&mut rng);
+                        (s, s + rng.next_range(0, 2 * MID))
+                    }
+                };
+                let want: Vec<(u64, bool, bool)> = if start < end.min(VPN_LIMIT) {
+                    model
+                        .range(start..end.min(VPN_LIMIT))
+                        .map(|(&vpn, &(a, d))| (vpn, a, d))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let mut got = Vec::new();
+                let visited = pt.scan_and_reset(start, end, |vpn, a, d| got.push((vpn, a, d)));
+                assert_eq!(visited, want.len() as u64, "range {start:#x}..{end:#x}");
+                assert_eq!(got, want, "range {start:#x}..{end:#x}");
+                for &(vpn, ..) in &want {
+                    model.insert(vpn, (false, false));
+                }
+                // Bits are reset inside the range only.
+                for (&vpn, &(a, d)) in &model {
+                    let pte = pt.walk(vpn).expect("model pages stay mapped");
+                    assert_eq!((pte.accessed, pte.dirty), (a, d), "vpn {vpn:#x}");
+                }
+            }
+        }
     }
 
     #[test]
