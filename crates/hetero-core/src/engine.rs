@@ -2037,11 +2037,10 @@ impl<W: Workload> SingleVmSim<W> {
         let mut oracle = move |p: &Page| rng.chance(Self::touch_probability(interval, p));
         let (tracker, kernel, out) = (&mut self.tracker, &self.kernel, &mut self.scan_scratch);
         if tracking == Tracking::Guided && self.cfg.guided_tracking {
-            // The guest lists the heap ranges and excepts I/O and pinned types.
-            use PageType::{BufferCache, Dma, NetBuf, PageCache, PageTable};
+            // The guest lists its heap ranges. Anonymous ranges hold only
+            // heap pages, so no exception list is needed.
             let ranges = self.kernel.address_space().ranges_of(VmaKind::Anon);
-            let exceptions = [PageCache, BufferCache, NetBuf, PageTable, Dma];
-            tracker.scan_tracked_into(kernel, &ranges, &exceptions, &mut oracle, batch, out);
+            tracker.scan_tracked_into(kernel, &ranges, &[], &mut oracle, batch, out);
         } else {
             tracker.scan_full_into(kernel, &mut oracle, batch, out);
         }

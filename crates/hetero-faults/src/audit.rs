@@ -8,10 +8,11 @@
 //! * **guest-local** ([`audit_kernel`]): per-tier frame conservation
 //!   (resident + free = total), exact LRU membership (flag ↔ list, walk ↔
 //!   count, class ↔ page type), balloon pinning, and page-cache index
-//!   consistency,
-//! * **cross-layer** ([`audit_vmm`]): the VMM's fair-share ledger vs. its
-//!   per-guest machine-frame backing vs. the machine's free counts, and the
-//!   guest kernels' own view of how many frames they hold.
+//!   consistency.
+//!
+//! The cross-layer ledger checks (fair share vs. the guest kernels' own
+//! view, per-host and cluster-wide conservation) live in
+//! [`crate::sanitize`].
 
 use std::collections::HashSet;
 use std::fmt;
@@ -21,7 +22,6 @@ use hetero_guest::page::{Gfn, PageFlags, PageType};
 use hetero_guest::GuestKernel;
 use hetero_mem::MemKind;
 use hetero_vmm::drf::GuestId;
-use hetero_vmm::Vmm;
 
 /// One detected accounting violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,17 +83,6 @@ pub enum Violation {
         /// The doubly-indexed frame.
         gfn: Gfn,
     },
-    /// The VMM's share ledger and its machine-frame backing disagree.
-    GrantMismatch {
-        /// Guest checked.
-        guest: GuestId,
-        /// Pages the fair-share ledger says are granted.
-        granted: u64,
-        /// Machine frames actually backing the guest.
-        backed: u64,
-        /// Tier checked.
-        kind: MemKind,
-    },
     /// A guest kernel's view of its holding disagrees with the VMM's.
     GuestViewMismatch {
         /// Guest checked.
@@ -104,18 +93,6 @@ pub enum Violation {
         granted: u64,
         /// Pages the kernel thinks it owns (total − ballooned-out).
         kernel_owned: u64,
-    },
-    /// Machine frames are neither free nor backing any guest (or are
-    /// double-counted).
-    MachineAccounting {
-        /// Tier checked.
-        kind: MemKind,
-        /// Machine free frames.
-        free: u64,
-        /// Frames backing registered guests.
-        backed: u64,
-        /// Machine tier size.
-        total: u64,
     },
     /// The hotness tracker's O(1) tracked-page count disagrees with its
     /// known-bit table.
@@ -305,15 +282,6 @@ impl fmt::Display for Violation {
             Violation::PageCacheDuplicate { gfn } => {
                 write!(f, "page-cache indexes {gfn:?} twice")
             }
-            Violation::GrantMismatch {
-                guest,
-                granted,
-                backed,
-                kind,
-            } => write!(
-                f,
-                "{guest} on {kind}: ledger grants {granted} but {backed} frames backed"
-            ),
             Violation::GuestViewMismatch {
                 guest,
                 kind,
@@ -322,15 +290,6 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "{guest} on {kind}: VMM grants {granted} but kernel owns {kernel_owned}"
-            ),
-            Violation::MachineAccounting {
-                kind,
-                free,
-                backed,
-                total,
-            } => write!(
-                f,
-                "{kind}: machine free {free} + backed {backed} != total {total}"
             ),
             Violation::TrackerAccounting { tracked, known } => write!(
                 f,
@@ -528,57 +487,6 @@ pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
     out
 }
 
-/// Audits the VMM's ledgers against the machine and (when provided) the
-/// guests' own kernels. `guests` pairs each registered guest with its
-/// kernel; guests without a kernel at hand may be omitted — the
-/// ledger-vs-backing and machine conservation checks still cover them.
-pub fn audit_vmm(vmm: &Vmm, guests: &[(GuestId, &GuestKernel)]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for &kind in MemKind::ALL.iter() {
-        let total = vmm.machine().total_frames(kind);
-        if total == 0 {
-            continue;
-        }
-        let mut backed_sum = 0u64;
-        for id in vmm.guest_ids() {
-            let backed = vmm.backing_frames(id, kind).unwrap_or(0);
-            backed_sum += backed;
-            let granted = vmm.granted(id).map(|g| g[kind]).unwrap_or(0);
-            if granted != backed {
-                out.push(Violation::GrantMismatch {
-                    guest: id,
-                    granted,
-                    backed,
-                    kind,
-                });
-            }
-        }
-        let free = vmm.machine().free_frames(kind);
-        if free + backed_sum != total {
-            out.push(Violation::MachineAccounting {
-                kind,
-                free,
-                backed: backed_sum,
-                total,
-            });
-        }
-        for &(id, kernel) in guests {
-            let Ok(g) = vmm.granted(id) else { continue };
-            let kernel_owned =
-                kernel.total_frames(kind).saturating_sub(kernel.ballooned_pages(kind));
-            if g[kind] != kernel_owned {
-                out.push(Violation::GuestViewMismatch {
-                    guest: id,
-                    kind,
-                    granted: g[kind],
-                    kernel_owned,
-                });
-            }
-        }
-    }
-    out
-}
-
 hetero_sim::impl_snap!(enum Violation {
     0 => FrameAccounting { kind, resident, free, total },
     1 => LruMembership { kind, listed, flagged },
@@ -587,9 +495,7 @@ hetero_sim::impl_snap!(enum Violation {
     4 => BalloonAccounting { kind, flagged, tracked },
     5 => PageCacheEntry { gfn, page_type },
     6 => PageCacheDuplicate { gfn },
-    7 => GrantMismatch { guest, granted, backed, kind },
     8 => GuestViewMismatch { guest, kind, granted, kernel_owned },
-    9 => MachineAccounting { kind, free, backed, total },
     10 => TrackerAccounting { tracked, known },
     11 => TrackerOutOfRange { gfn, total_frames },
     12 => ScanCandidate { gfn, hot, reason },

@@ -1,8 +1,8 @@
 //! The fault injector: a [`FaultPlan`] turned into per-site decisions.
 //!
 //! One [`FaultInjector`] is threaded through a run. At each boundary the
-//! caller asks it a question — "does this allocation fail?", "what happens
-//! to this message?" — and every *yes* is appended to a [`FaultTrace`].
+//! caller asks it a question — "does this allocation fail?", "does this
+//! migration fail?" — and every *yes* is appended to a [`FaultTrace`].
 //! Decisions come only from the plan's seeded RNG, so a run's trace is a
 //! pure function of `(plan, call sequence)`: the chaos soak asserts the
 //! same seed reproduces a byte-identical trace.
@@ -10,32 +10,23 @@
 use std::fmt;
 
 use hetero_guest::kernel::MigrateError;
-use hetero_guest::kswapd::Kswapd;
 use hetero_guest::page::Gfn;
 use hetero_guest::GuestKernel;
-use hetero_mem::frames::OutOfFrames;
-use hetero_mem::{MachineMemory, MemKind, Mfn, ThrottleConfig};
+use hetero_mem::{MemKind, ThrottleConfig};
 use hetero_sim::SimRng;
-use hetero_vmm::channel::{BackMsg, FrontMsg, RingFull, SharedRing};
 
 use crate::plan::{FaultKind, FaultPlan, PlanError};
 
 /// Where in the stack a fault was injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// `hetero-mem`: machine frame allocation.
+    /// `hetero-mem`: tier allocation.
     MemAlloc,
     /// `hetero-mem`: the throttle model (latency storms).
     Throttle,
     /// `hetero-guest`: page migration.
     Migration,
-    /// `hetero-guest`: background reclaim.
-    Kswapd,
-    /// `hetero-vmm`: guest→VMM ring direction.
-    RingFront,
-    /// `hetero-vmm`: VMM→guest ring direction.
-    RingBack,
-    /// `hetero-vmm`: whole-guest lifecycle.
+    /// Whole-guest lifecycle (crash with the host up).
     Guest,
     /// Whole-host lifecycle (power).
     Host,
@@ -47,9 +38,6 @@ impl fmt::Display for FaultSite {
             FaultSite::MemAlloc => "mem/alloc",
             FaultSite::Throttle => "mem/throttle",
             FaultSite::Migration => "guest/migrate",
-            FaultSite::Kswapd => "guest/kswapd",
-            FaultSite::RingFront => "vmm/ring-front",
-            FaultSite::RingBack => "vmm/ring-back",
             FaultSite::Guest => "vmm/guest",
             FaultSite::Host => "host/power",
         };
@@ -114,19 +102,6 @@ impl FaultTrace {
     }
 }
 
-/// What the injector decided to do with a channel message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingAction {
-    /// Post normally.
-    Deliver,
-    /// Silently lose the message.
-    Drop,
-    /// Hold the message for this many flush rounds.
-    Delay(u32),
-    /// Report the ring full without posting (backpressure).
-    Reject,
-}
-
 /// Per-run fault state: the plan, its RNG stream, active multi-step faults
 /// and the trace.
 #[derive(Debug, Clone)]
@@ -137,10 +112,6 @@ pub struct FaultInjector {
     trace: FaultTrace,
     /// Active latency storm: (factor, steps left).
     storm: Option<(f64, u32)>,
-    /// Steps the reclaim daemon stays stalled.
-    stall_left: u32,
-    delayed_front: Vec<(u32, FrontMsg)>,
-    delayed_back: Vec<(u32, BackMsg)>,
 }
 
 impl FaultInjector {
@@ -174,9 +145,6 @@ impl FaultInjector {
             step: 0,
             trace: FaultTrace::default(),
             storm: None,
-            stall_left: 0,
-            delayed_front: Vec::new(),
-            delayed_back: Vec::new(),
         })
     }
 
@@ -213,12 +181,12 @@ impl FaultInjector {
                 self.storm = None;
             }
         }
-        self.stall_left = self.stall_left.saturating_sub(1);
     }
 
     // ------------------------------------------------- hetero-mem boundary
 
-    /// Does this machine frame allocation fail?
+    /// Does allocation on `kind` fail? The engine asks once per epoch for
+    /// FastMem; a yes degrades that epoch's placement to slower tiers.
     pub fn fail_alloc(&mut self, kind: MemKind) -> bool {
         if self.rng.chance(self.plan.alloc_fail) {
             self.record(FaultSite::MemAlloc, FaultKind::AllocFail(kind));
@@ -226,27 +194,6 @@ impl FaultInjector {
         } else {
             false
         }
-    }
-
-    /// Machine frame allocation with injection: a planned failure surfaces
-    /// as [`OutOfFrames`] exactly as real exhaustion would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfFrames`] on injection or genuine exhaustion.
-    pub fn alloc_frames(
-        &mut self,
-        machine: &mut MachineMemory,
-        kind: MemKind,
-        n: u64,
-    ) -> Result<Vec<Mfn>, OutOfFrames> {
-        if self.fail_alloc(kind) {
-            return Err(OutOfFrames {
-                requested: n,
-                available: 0,
-            });
-        }
-        machine.alloc_frames(kind, n)
     }
 
     /// Current throttle multiplier: `1.0` outside a storm; inside one, the
@@ -308,145 +255,6 @@ impl FaultInjector {
         kernel.migrate_page(gfn, target)
     }
 
-    /// Is the background reclaim daemon stalled this step? May start a new
-    /// stall (recorded once, at onset).
-    pub fn kswapd_stalled(&mut self) -> bool {
-        if self.stall_left > 0 {
-            return true;
-        }
-        if self.rng.chance(self.plan.kswapd_stall) {
-            let steps = self.rng.next_range(1, u64::from(self.plan.stall_max_steps) + 1) as u32;
-            self.stall_left = steps;
-            self.record(FaultSite::Kswapd, FaultKind::KswapdStall { steps });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Kswapd balance pass with injection: a stalled daemon reclaims
-    /// nothing this step.
-    pub fn kswapd_balance(
-        &mut self,
-        daemon: &mut Kswapd,
-        kernel: &mut GuestKernel,
-        kind: MemKind,
-    ) -> u64 {
-        if self.kswapd_stalled() {
-            0
-        } else {
-            daemon.balance(kernel, kind)
-        }
-    }
-
-    // ------------------------------------------------- hetero-vmm boundary
-
-    /// Decides the fate of one channel message at `site`.
-    pub fn ring_action(&mut self, site: FaultSite) -> RingAction {
-        if self.rng.chance(self.plan.ring_full) {
-            self.record(site, FaultKind::RingFullBackpressure);
-            return RingAction::Reject;
-        }
-        if self.rng.chance(self.plan.ring_drop) {
-            self.record(site, FaultKind::RingDrop);
-            return RingAction::Drop;
-        }
-        if self.rng.chance(self.plan.ring_delay) {
-            let ticks = self.rng.next_range(1, u64::from(self.plan.delay_max_ticks) + 1) as u32;
-            self.record(site, FaultKind::RingDelay { ticks });
-            return RingAction::Delay(ticks);
-        }
-        RingAction::Deliver
-    }
-
-    /// Guest→VMM post through the injector.
-    ///
-    /// Dropped messages return `Ok` (the sender cannot tell); delayed ones
-    /// are held until [`Self::flush_delayed`] releases them; injected
-    /// backpressure surfaces as [`RingFull`] exactly like a full ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingFull`] on injected backpressure or a genuinely full
-    /// ring.
-    pub fn post_front(&mut self, ring: &mut SharedRing, msg: FrontMsg) -> Result<(), RingFull> {
-        match self.ring_action(FaultSite::RingFront) {
-            RingAction::Deliver => ring.post_front(msg),
-            RingAction::Drop => Ok(()),
-            RingAction::Delay(t) => {
-                self.delayed_front.push((t, msg));
-                Ok(())
-            }
-            RingAction::Reject => Err(RingFull),
-        }
-    }
-
-    /// VMM→guest post through the injector (see [`Self::post_front`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingFull`] on injected backpressure or a genuinely full
-    /// ring.
-    pub fn post_back(&mut self, ring: &mut SharedRing, msg: BackMsg) -> Result<(), RingFull> {
-        match self.ring_action(FaultSite::RingBack) {
-            RingAction::Deliver => ring.post_back(msg),
-            RingAction::Drop => Ok(()),
-            RingAction::Delay(t) => {
-                self.delayed_back.push((t, msg));
-                Ok(())
-            }
-            RingAction::Reject => Err(RingFull),
-        }
-    }
-
-    /// Messages currently held back by delay faults.
-    pub fn delayed_pending(&self) -> usize {
-        self.delayed_front.len() + self.delayed_back.len()
-    }
-
-    /// Ages delayed messages one round and posts the due ones. Messages
-    /// that find the ring full stay queued for the next flush — a delay
-    /// fault never silently becomes a drop. Returns how many were
-    /// delivered. Call once per step.
-    pub fn flush_delayed(&mut self, ring: &mut SharedRing) -> usize {
-        fn drain<M>(
-            queue: &mut Vec<(u32, M)>,
-            mut post: impl FnMut(M) -> Result<(), RingFull>,
-        ) -> usize
-        where
-            M: Clone,
-        {
-            let mut delivered = 0;
-            let mut keep = Vec::new();
-            for (t, m) in queue.drain(..) {
-                let t = t.saturating_sub(1);
-                if t > 0 {
-                    keep.push((t, m));
-                } else {
-                    match post(m.clone()) {
-                        Ok(()) => delivered += 1,
-                        // Ring saturated: hold one more round.
-                        Err(RingFull) => keep.push((1, m)),
-                    }
-                }
-            }
-            *queue = keep;
-            delivered
-        }
-        drain(&mut self.delayed_front, |m| ring.post_front(m))
-            + drain(&mut self.delayed_back, |m| ring.post_back(m))
-    }
-
-    /// Does the guest crash this step?
-    pub fn crash_guest(&mut self) -> bool {
-        if self.rng.chance(self.plan.guest_crash) {
-            self.record(FaultSite::Guest, FaultKind::GuestCrash);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Does the host lose power this step? Volatile tiers are lost; the
     /// NVM persistence domain decides which slow-tier frames survive
     /// (flushed) versus tear (dirty-in-cache).
@@ -475,9 +283,6 @@ hetero_sim::impl_snap!(enum FaultSite {
     0 => MemAlloc {},
     1 => Throttle {},
     2 => Migration {},
-    3 => Kswapd {},
-    4 => RingFront {},
-    5 => RingBack {},
     6 => Guest {},
     7 => Host {},
 });
@@ -486,6 +291,4 @@ hetero_sim::impl_snap!(struct FaultRecord { step, site, kind });
 
 hetero_sim::impl_snap!(struct FaultTrace { records });
 
-hetero_sim::impl_snap!(struct FaultInjector {
-    plan, rng, step, trace, storm, stall_left, delayed_front, delayed_back
-});
+hetero_sim::impl_snap!(struct FaultInjector { plan, rng, step, trace, storm });

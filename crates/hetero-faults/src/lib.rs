@@ -1,23 +1,22 @@
 //! Deterministic fault injection for the HeteroOS reproduction.
 //!
 //! HeteroOS's claim is co-designed placement that stays correct *under
-//! pressure* — FastMem exhaustion, bandwidth storms, balloon churn, guest
+//! pressure* — FastMem exhaustion, bandwidth storms, failed migrations,
 //! crashes. This crate perturbs the stack systematically so that claim is
 //! tested, not assumed:
 //!
 //! * [`plan`] — seeded, wall-clock-free fault plans ([`FaultPlan`]) drawn
 //!   from [`hetero_sim::SimRng`]: same seed, same faults, every run,
-//! * [`inject`] — the injector consulted at the three crate boundaries
-//!   (`hetero-mem` frame allocation and throttling, `hetero-guest`
-//!   migration/kswapd, `hetero-vmm` ring and balloon traffic),
-//! * [`retry`] — bounded retry-with-backoff, the defense for transient
-//!   channel faults,
-//! * [`audit`] — the invariant auditor cross-checking global frame
-//!   accounting (VMM grants vs. guest buddy counts vs. LRU/pagecache
-//!   membership), returning typed [`Violation`] reports,
+//! * [`inject`] — the injector the engine consults once per step and per
+//!   migration (`hetero-mem` allocation and throttling, `hetero-guest`
+//!   migration, guest and host crashes),
+//! * [`audit`] — the guest-kernel invariant auditor cross-checking frame
+//!   accounting (buddy counts vs. LRU/page-cache membership vs. balloon),
+//!   returning typed [`Violation`] reports,
 //! * [`sanitize`] — the layered cross-stack [`Sanitizer`] run behind
 //!   [`AuditLevel`]s: tracker vs. memmap, swap/slab/page-cache residency,
-//!   cost conservation, counter monotonicity and a migration differential,
+//!   cost conservation, counter monotonicity, a migration differential and
+//!   the fair-share ledger checks,
 //! * [`shadow`] — the naive full-walk reference model ([`ShadowModel`])
 //!   the sanitizer uses as its differential oracle for incremental
 //!   residency and free-frame accounting.
@@ -28,14 +27,12 @@
 pub mod audit;
 pub mod inject;
 pub mod plan;
-pub mod retry;
 pub mod sanitize;
 pub mod shadow;
 
-pub use audit::{audit_kernel, audit_vmm, Violation};
-pub use inject::{FaultInjector, FaultRecord, FaultSite, FaultTrace, RingAction};
+pub use audit::{audit_kernel, Violation};
+pub use inject::{FaultInjector, FaultRecord, FaultSite, FaultTrace};
 pub use plan::{FaultKind, FaultPlan, PlanError};
-pub use retry::{retry_with_backoff, Backoff, RetryExhausted};
 pub use sanitize::{
     audit_cluster, audit_fair_share, audit_residency, audit_tracker, AuditLevel, EpochCosts,
     HostLedgerView, Sanitizer,

@@ -14,7 +14,7 @@ use hetero_mem::MemKind;
 /// One concrete fault drawn from a plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// A machine frame allocation on `MemKind` is forced to fail.
+    /// An allocation on `MemKind` is forced to fail.
     AllocFail(MemKind),
     /// A bandwidth/latency storm: SlowMem behaves `factor`× worse for
     /// `epochs` engine steps (models contention on the shared channel).
@@ -26,22 +26,6 @@ pub enum FaultKind {
     },
     /// A transient page-migration failure in the guest.
     MigrateFail,
-    /// The background reclaim daemon misses its window for `steps` steps.
-    KswapdStall {
-        /// Steps the daemon stays stalled.
-        steps: u32,
-    },
-    /// A guest↔VMM channel message is silently dropped.
-    RingDrop,
-    /// A guest↔VMM channel message is delayed by `ticks` flush rounds.
-    RingDelay {
-        /// Flush rounds the message is held back.
-        ticks: u32,
-    },
-    /// The channel reports full (backpressure) even though space exists.
-    RingFullBackpressure,
-    /// The guest crashes and must be restarted from scratch.
-    GuestCrash,
     /// The host loses power: DRAM/FastMem contents are lost, *flushed* NVM
     /// frames are preserved and unflushed NVM frames are torn (discarded at
     /// recovery).
@@ -60,11 +44,6 @@ impl fmt::Display for FaultKind {
                 write!(f, "latency-storm(x{factor:.2},{epochs}ep)")
             }
             FaultKind::MigrateFail => f.write_str("migrate-fail"),
-            FaultKind::KswapdStall { steps } => write!(f, "kswapd-stall({steps})"),
-            FaultKind::RingDrop => f.write_str("ring-drop"),
-            FaultKind::RingDelay { ticks } => write!(f, "ring-delay({ticks})"),
-            FaultKind::RingFullBackpressure => f.write_str("ring-full"),
-            FaultKind::GuestCrash => f.write_str("guest-crash"),
             FaultKind::HostPowerLoss => f.write_str("host-power-loss"),
             FaultKind::GuestCrashPersist => f.write_str("guest-crash-persist"),
         }
@@ -73,13 +52,13 @@ impl fmt::Display for FaultKind {
 
 /// A seeded description of how aggressively to perturb each boundary.
 ///
-/// Probabilities are per *injection opportunity* (one allocation, one
-/// message post, one step), all in `[0, 1]`.
+/// Probabilities are per *injection opportunity* (one allocation check,
+/// one migration, one step), all in `[0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector's private RNG stream.
     pub seed: u64,
-    /// P(frame allocation fails) per `MachineMemory` allocation, per tier.
+    /// P(allocation fails) per [`crate::FaultInjector::fail_alloc`] call.
     pub alloc_fail: f64,
     /// P(a latency storm starts) per step, when none is active.
     pub latency_storm: f64,
@@ -89,20 +68,6 @@ pub struct FaultPlan {
     pub storm_max_epochs: u32,
     /// P(migration fails transiently) per `migrate_page` call.
     pub migrate_fail: f64,
-    /// P(kswapd stalls) per step, when not already stalled.
-    pub kswapd_stall: f64,
-    /// Upper bound on a stall's duration in steps (≥ 1).
-    pub stall_max_steps: u32,
-    /// P(a channel message is dropped) per post.
-    pub ring_drop: f64,
-    /// P(a channel message is delayed) per post.
-    pub ring_delay: f64,
-    /// Upper bound on a delay in flush rounds (≥ 1).
-    pub delay_max_ticks: u32,
-    /// P(the ring spuriously reports full) per post.
-    pub ring_full: f64,
-    /// P(the guest crashes) per step.
-    pub guest_crash: f64,
     /// P(the host loses power) per step — flushed NVM frames survive,
     /// unflushed NVM frames are torn, volatile tiers are lost.
     pub host_power_loss: f64,
@@ -121,13 +86,6 @@ impl FaultPlan {
             storm_max_factor: 1.0,
             storm_max_epochs: 1,
             migrate_fail: 0.0,
-            kswapd_stall: 0.0,
-            stall_max_steps: 1,
-            ring_drop: 0.0,
-            ring_delay: 0.0,
-            delay_max_ticks: 1,
-            ring_full: 0.0,
-            guest_crash: 0.0,
             host_power_loss: 0.0,
             guest_crash_persist: 0.0,
         }
@@ -160,19 +118,12 @@ impl FaultPlan {
             storm_max_factor: 3.0,
             storm_max_epochs: 4,
             migrate_fail: 0.05,
-            kswapd_stall: 0.02,
-            stall_max_steps: 3,
-            ring_drop: 0.02,
-            ring_delay: 0.05,
-            delay_max_ticks: 3,
-            ring_full: 0.02,
-            guest_crash: 0.0,
             ..FaultPlan::quiescent(seed)
         }
     }
 
-    /// Sustained pressure on every boundary, including rare guest crashes —
-    /// the plan the chaos soak leans on hardest.
+    /// Sustained pressure on every boundary — the plan the chaos soak leans
+    /// on hardest.
     pub fn heavy(seed: u64) -> Self {
         FaultPlan {
             alloc_fail: 0.15,
@@ -180,13 +131,6 @@ impl FaultPlan {
             storm_max_factor: 8.0,
             storm_max_epochs: 8,
             migrate_fail: 0.25,
-            kswapd_stall: 0.10,
-            stall_max_steps: 6,
-            ring_drop: 0.10,
-            ring_delay: 0.15,
-            delay_max_ticks: 5,
-            ring_full: 0.10,
-            guest_crash: 0.01,
             ..FaultPlan::quiescent(seed)
         }
     }
@@ -201,43 +145,22 @@ impl FaultPlan {
         }
     }
 
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        if self.alloc_fail == 0.0 && self.ring_drop == 0.0 && self.latency_storm == 0.0 {
-            if self.host_power_loss > 0.0 || self.guest_crash_persist > 0.0 {
-                "crashy"
-            } else {
-                "quiescent"
-            }
-        } else if self.guest_crash > 0.0 {
-            "heavy"
-        } else {
-            "light"
-        }
-    }
-
     /// Every probability field as `(name, value)` pairs, in declaration
     /// order — the validation walk.
-    fn probabilities(&self) -> [(&'static str, f64); 10] {
+    fn probabilities(&self) -> [(&'static str, f64); 5] {
         [
             ("alloc_fail", self.alloc_fail),
             ("latency_storm", self.latency_storm),
             ("migrate_fail", self.migrate_fail),
-            ("kswapd_stall", self.kswapd_stall),
-            ("ring_drop", self.ring_drop),
-            ("ring_delay", self.ring_delay),
-            ("ring_full", self.ring_full),
-            ("guest_crash", self.guest_crash),
             ("host_power_loss", self.host_power_loss),
             ("guest_crash_persist", self.guest_crash_persist),
         ]
     }
 
     /// Checks every field a RNG draw depends on. Probabilities must be
-    /// finite and in `[0, 1]`; magnitude bounds (`storm_max_epochs`,
-    /// `stall_max_steps`, `delay_max_ticks`) must be ≥ 1 — the injector
-    /// draws durations from `1..=bound`, so a zero bound is an empty range;
-    /// `storm_max_factor` must be finite and ≥ 1.
+    /// finite and in `[0, 1]`; `storm_max_epochs` must be ≥ 1 — the
+    /// injector draws storm durations from `1..=bound`, so a zero bound is
+    /// an empty range; `storm_max_factor` must be finite and ≥ 1.
     ///
     /// # Errors
     ///
@@ -254,21 +177,17 @@ impl FaultPlan {
                 value: self.storm_max_factor,
             });
         }
-        for (field, bound) in [
-            ("storm_max_epochs", self.storm_max_epochs),
-            ("stall_max_steps", self.stall_max_steps),
-            ("delay_max_ticks", self.delay_max_ticks),
-        ] {
-            if bound == 0 {
-                return Err(PlanError::ZeroBound { field });
-            }
+        if self.storm_max_epochs == 0 {
+            return Err(PlanError::ZeroBound {
+                field: "storm_max_epochs",
+            });
         }
         Ok(())
     }
 
     /// A copy of the plan with every invalid field forced into range:
-    /// probabilities clamp to `[0, 1]` (NaN → 0), zero duration bounds
-    /// become 1, and `storm_max_factor` is raised to 1 (NaN → 1). The
+    /// probabilities clamp to `[0, 1]` (NaN → 0), a zero storm duration
+    /// bound becomes 1, and `storm_max_factor` is raised to 1 (NaN → 1). The
     /// result always passes [`FaultPlan::validate`].
     pub fn clamped(&self) -> Self {
         let p = |v: f64| if v.is_nan() { 0.0 } else { v.clamp(0.0, 1.0) };
@@ -283,13 +202,6 @@ impl FaultPlan {
             },
             storm_max_epochs: self.storm_max_epochs.max(1),
             migrate_fail: p(self.migrate_fail),
-            kswapd_stall: p(self.kswapd_stall),
-            stall_max_steps: self.stall_max_steps.max(1),
-            ring_drop: p(self.ring_drop),
-            ring_delay: p(self.ring_delay),
-            delay_max_ticks: self.delay_max_ticks.max(1),
-            ring_full: p(self.ring_full),
-            guest_crash: p(self.guest_crash),
             host_power_loss: p(self.host_power_loss),
             guest_crash_persist: p(self.guest_crash_persist),
         }
@@ -347,20 +259,13 @@ hetero_sim::impl_snap!(enum FaultKind {
     0 => AllocFail(kind),
     1 => LatencyStorm { factor, epochs },
     2 => MigrateFail {},
-    3 => KswapdStall { steps },
-    4 => RingDrop {},
-    5 => RingDelay { ticks },
-    6 => RingFullBackpressure {},
-    7 => GuestCrash {},
     8 => HostPowerLoss {},
     9 => GuestCrashPersist {},
 });
 
 hetero_sim::impl_snap!(struct FaultPlan {
     seed, alloc_fail, latency_storm, storm_max_factor, storm_max_epochs,
-    migrate_fail, kswapd_stall, stall_max_steps, ring_drop, ring_delay,
-    delay_max_ticks, ring_full, guest_crash, host_power_loss,
-    guest_crash_persist
+    migrate_fail, host_power_loss, guest_crash_persist
 });
 
 #[cfg(test)]
@@ -368,18 +273,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_cover_intensities() {
-        assert_eq!(FaultPlan::quiescent(0).label(), "quiescent");
-        assert_eq!(FaultPlan::light(1).label(), "light");
-        assert_eq!(FaultPlan::heavy(2).label(), "heavy");
-    }
-
-    #[test]
     fn for_seed_is_deterministic() {
         assert_eq!(FaultPlan::for_seed(9), FaultPlan::for_seed(9));
-        assert_eq!(FaultPlan::for_seed(3).label(), "quiescent");
-        assert_eq!(FaultPlan::for_seed(4).label(), "light");
-        assert_eq!(FaultPlan::for_seed(5).label(), "heavy");
+        assert_eq!(FaultPlan::for_seed(3), FaultPlan::quiescent(3));
+        assert_eq!(FaultPlan::for_seed(4), FaultPlan::light(4));
+        assert_eq!(FaultPlan::for_seed(5), FaultPlan::heavy(5));
     }
 
     #[test]
@@ -392,38 +290,31 @@ mod tests {
     }
 
     #[test]
-    fn crash_plans_label_crashy() {
-        assert_eq!(FaultPlan::power_loss(0, 0.1).label(), "crashy");
-        assert_eq!(FaultPlan::crash_persist(0, 0.1).label(), "crashy");
-        assert_eq!(FaultPlan::power_loss(0, 0.0).label(), "quiescent");
-    }
-
-    #[test]
     fn boundary_probabilities_are_accepted() {
         // 0 and 1 are both legal — only strictly outside [0,1] rejects.
         let mut p = FaultPlan::quiescent(0);
         p.alloc_fail = 1.0;
-        p.guest_crash = 0.0;
+        p.host_power_loss = 0.0;
         p.validate().unwrap();
     }
 
     #[test]
     fn out_of_range_probability_rejects_with_field_name() {
         let mut p = FaultPlan::quiescent(0);
-        p.ring_drop = 1.0 + 1e-9;
+        p.migrate_fail = 1.0 + 1e-9;
         assert_eq!(
             p.validate(),
             Err(PlanError::Probability {
-                field: "ring_drop",
+                field: "migrate_fail",
                 value: 1.0 + 1e-9
             })
         );
-        p.ring_drop = -0.25;
+        p.migrate_fail = -0.25;
         assert!(matches!(
             p.validate(),
-            Err(PlanError::Probability { field: "ring_drop", .. })
+            Err(PlanError::Probability { field: "migrate_fail", .. })
         ));
-        p.ring_drop = f64::NAN;
+        p.migrate_fail = f64::NAN;
         assert!(p.validate().is_err());
     }
 
@@ -437,9 +328,6 @@ mod tests {
                 field: "storm_max_epochs"
             })
         );
-        p = FaultPlan::quiescent(0);
-        p.delay_max_ticks = 0;
-        assert!(matches!(p.validate(), Err(PlanError::ZeroBound { .. })));
     }
 
     #[test]
@@ -454,30 +342,28 @@ mod tests {
         let mut p = FaultPlan::heavy(3);
         p.alloc_fail = 1.7;
         p.migrate_fail = -2.0;
-        p.kswapd_stall = f64::NAN;
+        p.host_power_loss = f64::NAN;
         p.storm_max_factor = 0.0;
         p.storm_max_epochs = 0;
-        p.delay_max_ticks = 0;
         let c = p.clamped();
         c.validate().unwrap();
         assert_eq!(c.alloc_fail, 1.0);
         assert_eq!(c.migrate_fail, 0.0);
-        assert_eq!(c.kswapd_stall, 0.0);
+        assert_eq!(c.host_power_loss, 0.0);
         assert_eq!(c.storm_max_factor, 1.0);
         assert_eq!(c.storm_max_epochs, 1);
-        assert_eq!(c.delay_max_ticks, 1);
         // Valid fields pass through untouched.
-        assert_eq!(c.ring_drop, FaultPlan::heavy(3).ring_drop);
+        assert_eq!(c.latency_storm, FaultPlan::heavy(3).latency_storm);
         assert_eq!(c.seed, 3);
     }
 
     #[test]
     fn plan_errors_render() {
         let e = PlanError::Probability {
-            field: "guest_crash",
+            field: "host_power_loss",
             value: 2.0,
         };
-        assert!(e.to_string().contains("guest_crash"));
+        assert!(e.to_string().contains("host_power_loss"));
         assert!(PlanError::ZeroBound { field: "x" }.to_string().contains(">= 1"));
     }
 
@@ -492,7 +378,6 @@ mod tests {
             .to_string(),
             "latency-storm(x2.50,3ep)"
         );
-        assert_eq!(FaultKind::RingDelay { ticks: 2 }.to_string(), "ring-delay(2)");
         assert_eq!(FaultKind::HostPowerLoss.to_string(), "host-power-loss");
         assert_eq!(
             FaultKind::GuestCrashPersist.to_string(),

@@ -613,20 +613,6 @@ impl GuestKernel {
         Ok(gfn)
     }
 
-    /// Allocates one buffer-cache page (filesystem journal/metadata block).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocFailed`] when every tier is exhausted.
-    pub fn alloc_buffer_page(
-        &mut self,
-        heat: u8,
-        preference: &[MemKind],
-    ) -> Result<Gfn, AllocFailed> {
-        let (gfn, _) = self.alloc_page(PageType::BufferCache, heat, preference)?;
-        Ok(gfn)
-    }
-
     /// Brings one buffer-cache block in under a `(file, offset)` identity so
     /// callers can address it stably across migrations (mirrors
     /// [`GuestKernel::page_in`] for [`PageType::BufferCache`]).
@@ -1150,7 +1136,7 @@ impl GuestKernel {
 
     /// Shrinks a tier's caches: drops up to `n` clean, inactive file-class
     /// pages (page cache, buffer cache), skipping dirty pages — the
-    /// kswapd/direct-reclaim primitive. Returns pages freed.
+    /// direct-reclaim primitive. Returns pages freed.
     pub fn shrink_caches(&mut self, kind: MemKind, n: u64) -> u64 {
         let victims = self.lru_candidates(kind, (n * 4) as usize, |p| {
             p.page_type.is_io()

@@ -12,7 +12,6 @@
 //! * [`vma`] / [`pagetable`] — the address space and a 4-level radix page
 //!   table with accessed/dirty bits for hotness scans,
 //! * [`lru`] — split active/inactive LRUs per tier (HeteroOS-LRU substrate),
-//! * [`kswapd`] — background reclaim with per-tier watermarks,
 //! * [`swap`] — the swap map anonymous pages spill to under balloon
 //!   pressure,
 //! * [`pagecache`] / [`slab`] — the I/O page classes HeteroOS prioritizes,
@@ -45,7 +44,6 @@
 
 pub mod buddy;
 pub mod kernel;
-pub mod kswapd;
 pub mod lru;
 pub mod memmap;
 pub mod page;

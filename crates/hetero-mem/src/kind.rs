@@ -1,4 +1,4 @@
-//! Memory tiers and node identifiers.
+//! Memory tiers and the per-tier [`KindMap`].
 
 use std::fmt;
 
@@ -79,27 +79,6 @@ impl fmt::Display for MemKind {
     }
 }
 
-/// Identifier of a memory node within a [`crate::MachineMemory`].
-///
-/// Mirrors the NUMA-node abstraction HeteroOS re-uses at the guest level
-/// (Principle 1, §3): each memory type is exposed as one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u32);
-
-impl NodeId {
-    /// Raw index.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node{}", self.0)
-    }
-}
-
 /// A tiny map from [`MemKind`] to values, used pervasively for per-tier
 /// accounting.
 ///
@@ -177,17 +156,6 @@ impl hetero_sim::snap::Snap for MemKind {
     }
 }
 
-impl hetero_sim::snap::Snap for NodeId {
-    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
-        w.put_u32(self.0);
-    }
-    fn unsnap(
-        r: &mut hetero_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        Ok(NodeId(r.take_u32()?))
-    }
-}
-
 impl<T: hetero_sim::snap::Snap> hetero_sim::snap::Snap for KindMap<T> {
     fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
         self.values.snap(w);
@@ -229,7 +197,6 @@ mod tests {
     fn display_names() {
         assert_eq!(MemKind::Fast.to_string(), "FastMem");
         assert_eq!(MemKind::Slow.to_string(), "SlowMem");
-        assert_eq!(NodeId(3).to_string(), "node3");
     }
 
     #[test]

@@ -7,45 +7,39 @@
 //! latency/bandwidth factors of Table 3. This crate is the software analogue
 //! of that emulation testbed:
 //!
-//! * [`kind`] — memory tiers ([`MemKind`]) and node identifiers ([`NodeId`]),
+//! * [`kind`] — memory tiers ([`MemKind`]) and per-tier maps,
 //! * [`tech`] — the Table 1 technology characteristics,
 //! * [`throttle`] — the Table 3 (L:x, B:y) throttle configurations,
 //! * [`tier`] — named device-profile tier topologies ([`TierProfile`],
 //!   selected via `repro --tier-profile`): the Table-1 trio, Optane DC,
 //!   CXL,
 //! * [`node`] — memory-node timing (latency + bandwidth dilation),
-//! * [`frames`] — machine-frame pools ([`Mfn`], [`FramePool`]),
 //! * [`llc`] — a last-level-cache model (16 MB testbed vs 48 MB Intel
 //!   emulator, Figs 1–2),
 //! * [`cost`] — the software cost model for scans, walks, copies and TLB
 //!   flushes (Table 6, Fig 8),
 //! * [`persist`] — the NVM persistence domain: per-frame flush state,
-//!   `clflush`/`sfence` write-behind policies, crash survivors,
-//! * [`machine`] — a whole machine: a set of nodes with frame accounting.
+//!   `clflush`/`sfence` write-behind policies, crash survivors.
 //!
 //! # Examples
 //!
 //! ```
-//! use hetero_mem::{MachineMemory, MemKind, ThrottleConfig};
+//! use hetero_mem::{MemKind, NodeParams, ThrottleConfig};
 //!
-//! let machine = MachineMemory::builder()
-//!     .fast_mem(4 << 30, ThrottleConfig::fast_mem())
-//!     .slow_mem(8 << 30, ThrottleConfig::from_factors(5.0, 9.0))
-//!     .build();
-//! assert_eq!(machine.capacity_bytes(MemKind::Fast), 4 << 30);
-//! assert!(machine.node_params(MemKind::Slow).unwrap().load_latency
-//!     > machine.node_params(MemKind::Fast).unwrap().load_latency);
+//! let fast = NodeParams::new(MemKind::Fast, 4 << 30, ThrottleConfig::fast_mem());
+//! let slow = NodeParams::new(MemKind::Slow, 8 << 30, ThrottleConfig::from_factors(5.0, 9.0));
+//! assert_eq!(fast.capacity_pages(4096), 1 << 20);
+//! assert!(slow.load_latency > fast.load_latency);
+//! assert!(slow.bandwidth_gbps < fast.bandwidth_gbps);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod frames;
 pub mod heatgen;
 pub mod kind;
 pub mod llc;
-pub mod machine;
 pub mod node;
 pub mod persist;
 pub mod tech;
@@ -55,10 +49,8 @@ pub mod tier;
 pub use cost::{CostModel, MigrationBatch};
 pub use heatgen::ColdLedger;
 pub use persist::{FlushPolicy, PersistDomain};
-pub use frames::{FramePool, Mfn};
-pub use kind::{MemKind, NodeId};
+pub use kind::MemKind;
 pub use llc::LlcModel;
-pub use machine::{MachineMemory, MachineMemoryBuilder};
 pub use node::NodeParams;
 pub use tech::TechProfile;
 pub use throttle::ThrottleConfig;

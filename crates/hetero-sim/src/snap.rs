@@ -35,7 +35,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"HSNP";
 /// no migration path by design: a snapshot is a resume token for the exact
 /// build that wrote it, and a loud [`SnapshotError::BadVersion`] beats a
 /// silently diverging resume.
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]

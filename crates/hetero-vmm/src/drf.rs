@@ -305,31 +305,6 @@ impl FairShare {
         Grant::NeedsReclaim(plan)
     }
 
-    /// True when [`FairShare::reclaim`] would succeed: the guest is
-    /// registered, holds the pages, and keeping its reservation floor
-    /// intact. Callers on fallible paths (e.g. a balloon acknowledgement
-    /// arriving over a lossy channel) check this first instead of risking
-    /// the panic.
-    pub fn can_reclaim(&self, id: GuestId, kind: MemKind, pages: u64) -> bool {
-        let Some(g) = self.guests.get(&id) else {
-            return false;
-        };
-        let Some(left) = g.alloc[kind].checked_sub(pages) else {
-            return false;
-        };
-        match self.policy {
-            SharePolicy::MaxMin => kind != MemKind::Fast || left >= g.min[kind],
-            SharePolicy::WeightedDrf { .. } => left >= g.min[kind],
-        }
-    }
-
-    /// True when [`FairShare::release`] would succeed.
-    pub fn can_release(&self, id: GuestId, kind: MemKind, pages: u64) -> bool {
-        self.guests
-            .get(&id)
-            .is_some_and(|g| g.alloc[kind] >= pages)
-    }
-
     /// Applies a reclaim: `pages` of `kind` taken back from `id` (after the
     /// balloon actually inflated).
     ///

@@ -6,11 +6,9 @@ use heteroos::guest::kernel::{AllocFailed, GuestConfig, GuestKernel, MigrateErro
 use heteroos::guest::page::PageType;
 use heteroos::guest::pagecache::FileId;
 use heteroos::mem::kind::KindMap;
-use heteroos::mem::{MachineMemory, MemKind, ThrottleConfig};
-use heteroos::vmm::channel::{FrontMsg, RingFull, SharedRing};
+use heteroos::mem::MemKind;
 use heteroos::vmm::drf::GuestId;
-use heteroos::vmm::vmm::{GuestSpec, Vmm, VmmError};
-use heteroos::vmm::SharePolicy;
+use heteroos::vmm::{FairShare, Grant, SharePolicy};
 
 fn tiny_kernel() -> GuestKernel {
     GuestKernel::new(GuestConfig {
@@ -67,18 +65,6 @@ fn migration_with_no_room_fails_cleanly_and_leaves_page_intact() {
 }
 
 #[test]
-fn ring_overflow_is_reported_not_dropped_silently() {
-    let mut ring = SharedRing::new(2);
-    ring.post_front(FrontMsg::MigrationDone(1)).unwrap();
-    ring.post_front(FrontMsg::MigrationDone(2)).unwrap();
-    assert_eq!(ring.post_front(FrontMsg::MigrationDone(3)), Err(RingFull));
-    // Nothing was lost: both originals drain in order.
-    assert_eq!(ring.poll_front(), Some(FrontMsg::MigrationDone(1)));
-    assert_eq!(ring.poll_front(), Some(FrontMsg::MigrationDone(2)));
-    assert_eq!(ring.poll_front(), None);
-}
-
-#[test]
 fn balloon_cannot_over_inflate_or_over_deflate() {
     let mut k = tiny_kernel();
     let total = k.total_frames(MemKind::Fast);
@@ -93,46 +79,24 @@ fn balloon_cannot_over_inflate_or_over_deflate() {
 }
 
 #[test]
-fn vmm_rejects_impossible_registrations_without_leaking_frames() {
-    let machine = MachineMemory::builder()
-        .fast_mem(16 * 4096, ThrottleConfig::fast_mem())
-        .slow_mem(16 * 4096, ThrottleConfig::slow_mem_default())
-        .build();
-    let mut vmm = Vmm::new(machine, SharePolicy::paper_drf());
-    let mut greedy = GuestSpec::default();
-    greedy.min[MemKind::Fast] = 8;
-    greedy.min[MemKind::Slow] = 99; // impossible
-    assert_eq!(
-        vmm.register_guest(GuestId(0), greedy),
-        Err(VmmError::InsufficientMachineMemory(MemKind::Slow))
-    );
-    // The partially taken FastMem was rolled back: a full-size guest still
-    // fits.
-    let mut ok = GuestSpec::default();
-    ok.min[MemKind::Fast] = 16;
-    ok.min[MemKind::Slow] = 16;
-    assert!(vmm.register_guest(GuestId(1), ok).is_ok());
-}
-
-#[test]
 fn drf_denies_rather_than_overcommits_when_floors_block() {
-    let machine = MachineMemory::builder()
-        .fast_mem(32 * 4096, ThrottleConfig::fast_mem())
-        .slow_mem(32 * 4096, ThrottleConfig::slow_mem_default())
-        .build();
-    let mut vmm = Vmm::new(machine, SharePolicy::paper_drf());
-    let mut spec = GuestSpec::default();
-    spec.min[MemKind::Fast] = 16;
-    spec.max[MemKind::Fast] = 32;
-    vmm.register_guest(GuestId(0), spec).unwrap();
-    vmm.register_guest(GuestId(1), spec).unwrap();
-    // All FastMem is reserved minimum: a growth request must not produce a
-    // reclaim plan against anyone's floor.
-    let grant = vmm
-        .request_memory(GuestId(0), MemKind::Fast, 8, None)
-        .unwrap();
-    assert_eq!(grant.granted[MemKind::Fast], 0);
-    assert!(grant.reclaim_plan.is_empty(), "floors are untouchable");
+    let mut total: KindMap<u64> = KindMap::default();
+    total[MemKind::Fast] = 32;
+    total[MemKind::Slow] = 32;
+    let mut fs = FairShare::new(SharePolicy::paper_drf(), total);
+    let mut floor: KindMap<u64> = KindMap::default();
+    floor[MemKind::Fast] = 16;
+    fs.register(GuestId(0), floor);
+    fs.register(GuestId(1), floor);
+    // All FastMem is reserved minimum: a growth request must be denied,
+    // not answered with a reclaim plan against anyone's floor.
+    let mut demand: KindMap<u64> = KindMap::default();
+    demand[MemKind::Fast] = 8;
+    assert_eq!(fs.request(GuestId(0), demand), Grant::Denied, "floors are untouchable");
+    // The denial consumed nothing.
+    assert_eq!(fs.allocated(GuestId(0))[MemKind::Fast], 16);
+    assert_eq!(fs.allocated(GuestId(1))[MemKind::Fast], 16);
+    assert_eq!(fs.free(MemKind::Fast), 0);
 }
 
 #[test]
@@ -158,16 +122,16 @@ fn fairshare_ledger_stays_consistent_across_denials() {
     let mut total: KindMap<u64> = KindMap::default();
     total[MemKind::Fast] = 10;
     total[MemKind::Slow] = 10;
-    let mut fs = heteroos::vmm::FairShare::new(SharePolicy::paper_drf(), total);
+    let mut fs = FairShare::new(SharePolicy::paper_drf(), total);
     fs.register(GuestId(0), KindMap::default());
     let mut demand: KindMap<u64> = KindMap::default();
     demand[MemKind::Fast] = 7;
-    assert_eq!(fs.request(GuestId(0), demand), heteroos::vmm::Grant::Granted);
+    assert_eq!(fs.request(GuestId(0), demand), Grant::Granted);
     // A request beyond capacity with no donors is denied and changes
     // nothing.
     let mut big: KindMap<u64> = KindMap::default();
     big[MemKind::Fast] = 7;
-    assert_eq!(fs.request(GuestId(0), big), heteroos::vmm::Grant::Denied);
+    assert_eq!(fs.request(GuestId(0), big), Grant::Denied);
     assert_eq!(fs.allocated(GuestId(0))[MemKind::Fast], 7);
     assert_eq!(fs.free(MemKind::Fast), 3);
 }

@@ -1,10 +1,9 @@
 //! Integration tests for the §4.3 extensions working together: three-tier
-//! machines, typed demotion, the swap subsystem and kswapd, end to end
-//! through the engine.
+//! machines, typed demotion and the swap subsystem, end to end through the
+//! engine.
 
 use heteroos::core::engine::{run_app, SingleVmSim};
 use heteroos::core::{Policy, SimConfig};
-use heteroos::guest::kswapd::Kswapd;
 use heteroos::mem::MemKind;
 use heteroos::workloads::{apps, AppWorkload, WorkloadSpec};
 
@@ -105,26 +104,4 @@ fn balloon_swap_roundtrip_through_the_engine() {
         swapped,
         sim.swapped_pages()
     );
-}
-
-#[test]
-fn kswapd_composes_with_engine_kernels() {
-    // kswapd can be pointed at an engine's kernel mid-run; here we verify
-    // the watermark view is consistent with the kernel's accounting.
-    let cfg = SimConfig::paper_default()
-        .with_capacity_ratio(1, 8)
-        .with_seed(7);
-    let wl = AppWorkload::new(quick(apps::leveldb()), cfg.page_size, cfg.scale);
-    let mut sim = SingleVmSim::new(cfg, Policy::HeapIoSlabOd, wl);
-    for _ in 0..150 {
-        if !sim.step() {
-            break;
-        }
-    }
-    let kswapd = Kswapd::for_kernel(sim.kernel());
-    let marks = kswapd.marks(MemKind::Fast).expect("fast configured");
-    assert!(marks.is_valid());
-    let needs = kswapd.needs_balancing(sim.kernel(), MemKind::Fast);
-    let free = sim.kernel().free_frames(MemKind::Fast);
-    assert_eq!(needs, free < marks.low);
 }

@@ -425,7 +425,6 @@ fn simulation_state_is_send() {
     assert_send::<heteroos::core::RunReport>();
     assert_send::<heteroos::core::SimConfig>();
     assert_send::<GuestKernel>();
-    assert_send::<heteroos::vmm::vmm::Vmm>();
     assert_send::<FairShare>();
     assert_send::<heteroos::faults::FaultInjector>();
     assert_send::<heteroos::sim::telemetry::Telemetry>();

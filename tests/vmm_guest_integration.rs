@@ -1,21 +1,12 @@
-//! Integration of the VMM facade with real guest kernels: registration,
-//! on-demand grants, reclaim plans executed through ballooning, and
-//! coordinated hotness scans over the split-driver channel.
+//! The VMM's fair-share ledger driving real guest kernels: on-demand
+//! grants, reclaim plans executed through ballooning, and a guest-side
+//! demote/promote tiering loop.
 
+use heteroos::faults::audit_fair_share;
 use heteroos::guest::kernel::{GuestConfig, GuestKernel};
-use heteroos::guest::page::PageType;
-use heteroos::mem::{MachineMemory, MemKind, ThrottleConfig};
-use heteroos::vmm::channel::FrontMsg;
-use heteroos::vmm::drf::GuestId;
-use heteroos::vmm::vmm::{GuestSpec, Vmm};
-use heteroos::vmm::SharePolicy;
-
-fn machine(fast_pages: u64, slow_pages: u64) -> MachineMemory {
-    MachineMemory::builder()
-        .fast_mem(fast_pages * 4096, ThrottleConfig::fast_mem())
-        .slow_mem(slow_pages * 4096, ThrottleConfig::slow_mem_default())
-        .build()
-}
+use heteroos::mem::kind::KindMap;
+use heteroos::mem::MemKind;
+use heteroos::vmm::{FairShare, Grant, GuestId, SharePolicy};
 
 fn guest(fast: u64, slow: u64) -> GuestKernel {
     GuestKernel::new(GuestConfig {
@@ -25,109 +16,63 @@ fn guest(fast: u64, slow: u64) -> GuestKernel {
     })
 }
 
+fn fast(pages: u64) -> KindMap<u64> {
+    let mut m = KindMap::default();
+    m[MemKind::Fast] = pages;
+    m
+}
+
 #[test]
 fn two_guests_share_the_machine_through_grants_and_balloons() {
-    let mut vmm = Vmm::new(machine(1000, 4000), SharePolicy::paper_drf());
-    let mut spec = GuestSpec::default();
-    spec.min[MemKind::Fast] = 100;
-    spec.max[MemKind::Fast] = 900;
-    spec.min[MemKind::Slow] = 500;
-    spec.max[MemKind::Slow] = 2000;
-    vmm.register_guest(GuestId(0), spec).unwrap();
-    vmm.register_guest(GuestId(1), spec).unwrap();
+    let mut totals: KindMap<u64> = KindMap::default();
+    totals[MemKind::Fast] = 1000;
+    totals[MemKind::Slow] = 4000;
+    let mut fs = FairShare::new(SharePolicy::paper_drf(), totals);
+    let mut min = fast(100);
+    min[MemKind::Slow] = 500;
+    fs.register(GuestId(0), min);
+    fs.register(GuestId(1), min);
 
     let mut g0 = guest(900, 2000);
     let mut g1 = guest(900, 2000);
     // Boot state: everything above the minimum is ballooned out.
-    assert_eq!(g0.balloon_inflate(MemKind::Fast, 800), 800);
-    assert_eq!(g1.balloon_inflate(MemKind::Fast, 800), 800);
+    for g in [&mut g0, &mut g1] {
+        assert_eq!(g.balloon_inflate(MemKind::Fast, 800), 800);
+        assert_eq!(g.balloon_inflate(MemKind::Slow, 1500), 1500);
+    }
+    let audit = |fs: &FairShare, g0: &GuestKernel, g1: &GuestKernel| {
+        let v = audit_fair_share(fs, &[(GuestId(0), g0), (GuestId(1), g1)], &totals);
+        assert!(v.is_empty(), "{v:?}");
+    };
+    audit(&fs, &g0, &g1);
 
     // Guest 0 grows to 800 fast pages.
-    let grant = vmm
-        .request_memory(GuestId(0), MemKind::Fast, 700, None)
-        .unwrap();
-    assert_eq!(grant.granted[MemKind::Fast], 700);
+    assert_eq!(fs.request(GuestId(0), fast(700)), Grant::Granted);
     assert_eq!(g0.balloon_deflate(MemKind::Fast, 700), 700);
+    audit(&fs, &g0, &g1);
 
-    // Guest 1 wants 300: only 100 remain free, so the VMM plans a reclaim
-    // from guest 0 (the larger dominant share).
-    let grant = vmm
-        .request_memory(GuestId(1), MemKind::Fast, 300, None)
-        .unwrap();
-    assert_eq!(grant.granted[MemKind::Fast], 100);
-    assert_eq!(g1.balloon_deflate(MemKind::Fast, 100), 100);
-    let (donor, kind, pages) = grant.reclaim_plan[0];
-    assert_eq!(donor, GuestId(0));
-    // Execute the plan through the donor's balloon.
-    let yielded = g0.balloon_inflate(kind, pages);
-    assert_eq!(yielded, pages);
-    vmm.confirm_reclaim(donor, kind, pages).unwrap();
-    let grant = vmm
-        .request_memory(GuestId(1), MemKind::Fast, pages, None)
-        .unwrap();
-    assert_eq!(grant.granted[MemKind::Fast], pages);
-    assert_eq!(g1.balloon_deflate(MemKind::Fast, pages), pages);
-
-    // Ledger and machine agree.
-    assert_eq!(vmm.machine().free_frames(MemKind::Fast), 0);
-    assert_eq!(
-        vmm.granted(GuestId(0)).unwrap()[MemKind::Fast]
-            + vmm.granted(GuestId(1)).unwrap()[MemKind::Fast],
-        1000
-    );
-}
-
-#[test]
-fn coordinated_scan_over_the_channel_finds_guest_hot_pages() {
-    let mut vmm = Vmm::new(machine(512, 2048), SharePolicy::paper_drf());
-    vmm.register_guest(GuestId(0), GuestSpec::default()).unwrap();
-
-    let mut kernel = guest(512, 2048);
-    let (vma, _) = kernel
-        .mmap_heap(64, std::iter::repeat(200), &[MemKind::Slow])
-        .unwrap();
-    // Some I/O pages that the exception list must hide from tracking.
-    for off in 0..8 {
-        kernel
-            .page_in(heteroos::guest::pagecache::FileId(1), off, 224, &[MemKind::Slow])
-            .unwrap();
+    // Guest 1 wants 300: only 100 remain free, so DRF plans a reclaim
+    // from guest 0 (the larger dominant share) and consumes nothing yet.
+    let plan = match fs.request(GuestId(1), fast(300)) {
+        Grant::NeedsReclaim(plan) => plan,
+        other => panic!("expected a reclaim plan, got {other:?}"),
+    };
+    assert_eq!(plan, vec![(GuestId(0), MemKind::Fast, 200)]);
+    assert_eq!(fs.free(MemKind::Fast), 100);
+    // Execute the plan through the donor's balloon, then grant.
+    for (donor, kind, pages) in plan {
+        assert_eq!(donor, GuestId(0));
+        assert_eq!(g0.balloon_inflate(kind, pages), pages);
+        fs.reclaim(donor, kind, pages);
     }
+    assert_eq!(fs.request(GuestId(1), fast(300)), Grant::Granted);
+    assert_eq!(g1.balloon_deflate(MemKind::Fast, 300), 300);
 
-    // Guest posts its tracking and exception lists over the ring.
-    let ring = vmm.ring_mut(GuestId(0)).unwrap();
-    ring.post_front(FrontMsg::TrackingList(vec![(vma.start, vma.end())]))
-        .unwrap();
-    ring.post_front(FrontMsg::ExceptionList(vec![
-        PageType::PageCache,
-        PageType::BufferCache,
-    ]))
-    .unwrap();
-    vmm.process_guest_requests(GuestId(0)).unwrap();
-
-    // Two scans (threshold 2 by default) over an always-touched oracle.
-    let mut always = |_: &heteroos::guest::page::Page| true;
-    vmm.scan_guest(GuestId(0), &kernel, &mut always, 1 << 20, true)
-        .unwrap();
-    let out = vmm
-        .scan_guest(GuestId(0), &kernel, &mut always, 1 << 20, true)
-        .unwrap();
-    assert_eq!(out.hot_candidates.len(), 64, "only the tracked heap VMA");
-
-    // The guest migrates the candidates itself (§4.1), with validity checks.
-    let mut migrated = 0;
-    for gfn in out.hot_candidates {
-        if kernel.migrate_page(gfn, MemKind::Fast).is_ok() {
-            migrated += 1;
-        }
-    }
-    assert_eq!(migrated, 64);
-    assert_eq!(
-        kernel
-            .memmap()
-            .residency(PageType::HeapAnon, MemKind::Fast)
-            .pages,
-        64
-    );
+    // Ledger and kernels agree; FastMem is fully handed out.
+    audit(&fs, &g0, &g1);
+    assert_eq!(fs.free(MemKind::Fast), 0);
+    assert_eq!(fs.allocated(GuestId(0))[MemKind::Fast], 600);
+    assert_eq!(fs.allocated(GuestId(1))[MemKind::Fast], 400);
 }
 
 #[test]
